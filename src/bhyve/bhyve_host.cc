@@ -42,20 +42,9 @@ size_t UleRunQueue::total_threads() const {
 
 BhyveVisor::BhyveVisor(Machine& machine)
     : machine_(&machine), scheduler_(machine.profile().threads) {
-  const FrameOwner hv{FrameOwnerKind::kHypervisor, 0};
-  uint64_t remaining = kFreebsdBytes / kPageSize;
-  uint64_t chunk = kSuperpageChunkFrames;
-  while (remaining > 0 && chunk > 0) {
-    const uint64_t want = std::min(remaining, chunk);
-    auto mfn = machine_->memory().Alloc(want, 1, hv);
-    if (mfn.ok()) {
-      hv_frames_ += want;
-      remaining -= want;
-    } else {
-      chunk /= 2;
-    }
-  }
-  if (remaining > 0) {
+  const uint64_t wanted = kFreebsdBytes / kPageSize;
+  hv_frames_ = ClaimHypervisorFrames(machine_->memory(), wanted, kSuperpageChunkFrames);
+  if (hv_frames_ < wanted) {
     HYPERTP_LOG(kError, "bhyve") << "boot: machine too small for FreeBSD";
   }
   HYPERTP_LOG(kInfo, "bhyve") << "bhyvish-13.1 booted on " << machine_->hostname();
@@ -63,7 +52,7 @@ BhyveVisor::BhyveVisor(Machine& machine)
 
 BhyveVisor::~BhyveVisor() {
   for (auto& [handle, vm] : vms_) {
-    FreeVmFrames(vm);
+    FreeVmFrames(machine_->memory(), vm.uid);
   }
   if (hv_frames_ > 0) {
     machine_->memory().FreeAllOwnedBy(FrameOwner{FrameOwnerKind::kHypervisor, 0});
@@ -95,41 +84,6 @@ Result<VmId> BhyveVisor::FindVmByUid(uint64_t uid) const {
   return NotFoundError("bhyve: no vm with uid " + std::to_string(uid));
 }
 
-Result<void> BhyveVisor::AllocateGuestMemory(BhyveVm& vm) {
-  const FrameOwner owner{FrameOwnerKind::kGuest, vm.uid};
-  uint64_t remaining = vm.memory_bytes / kPageSize;
-  Gfn gfn = 0;
-  const uint64_t align = vm.huge_pages ? kFramesPerHugePage : 1;
-  while (remaining > 0) {
-    const uint64_t chunk = std::min(remaining, kSuperpageChunkFrames);
-    HYPERTP_ASSIGN_OR_RETURN(Mfn mfn, machine_->memory().Alloc(chunk, align, owner));
-    HYPERTP_RETURN_IF_ERROR(vm.memmap.MapExtent(gfn, mfn, chunk));
-    gfn += chunk;
-    remaining -= chunk;
-  }
-  return OkResult();
-}
-
-Result<void> BhyveVisor::AdoptGuestMemory(BhyveVm& vm,
-                                          const std::vector<PramPageEntry>& entries) {
-  const FrameOwner owner{FrameOwnerKind::kGuest, vm.uid};
-  for (const PramPageEntry& e : entries) {
-    for (Mfn m = e.mfn; m < e.mfn + e.frame_count(); ++m) {
-      HYPERTP_ASSIGN_OR_RETURN(FrameOwner actual, machine_->memory().OwnerOf(m));
-      if (!(actual == owner)) {
-        return DataLossError("bhyve: in-place frame " + std::to_string(m) +
-                             " not owned by guest uid " + std::to_string(vm.uid));
-      }
-    }
-    HYPERTP_RETURN_IF_ERROR(vm.memmap.MapExtent(e.gfn, e.mfn, e.frame_count()));
-  }
-  if (vm.memmap.mapped_frames() != vm.memory_bytes / kPageSize) {
-    return DataLossError("bhyve: PRAM file covers " + std::to_string(vm.memmap.mapped_frames()) +
-                         " frames, VM declares " + std::to_string(vm.memory_bytes / kPageSize));
-  }
-  return OkResult();
-}
-
 Result<void> BhyveVisor::AllocateVmStateFrames(BhyveVm& vm) {
   const FrameOwner state_owner{FrameOwnerKind::kVmState, vm.uid};
   const FrameOwner vmm_owner{FrameOwnerKind::kVmm, vm.uid};
@@ -140,12 +94,6 @@ Result<void> BhyveVisor::AllocateVmStateFrames(BhyveVm& vm) {
   HYPERTP_ASSIGN_OR_RETURN(Mfn proc, machine_->memory().Alloc(kBhyveProcFrames, 1, vmm_owner));
   (void)proc;
   return OkResult();
-}
-
-void BhyveVisor::FreeVmFrames(const BhyveVm& vm) {
-  machine_->memory().FreeAllOwnedBy(FrameOwner{FrameOwnerKind::kGuest, vm.uid});
-  machine_->memory().FreeAllOwnedBy(FrameOwner{FrameOwnerKind::kVmState, vm.uid});
-  machine_->memory().FreeAllOwnedBy(FrameOwner{FrameOwnerKind::kVmm, vm.uid});
 }
 
 Result<VmId> BhyveVisor::CreateVm(const VmConfig& config) {
@@ -187,7 +135,8 @@ Result<VmId> BhyveVisor::CreateVm(const VmConfig& config) {
     ++instance;
   }
 
-  HYPERTP_RETURN_IF_ERROR(AllocateGuestMemory(vm));
+  HYPERTP_RETURN_IF_ERROR(AllocateGuestFrames(machine_->memory(), vm.uid, vm.memory_bytes,
+                                                  vm.huge_pages, kSuperpageChunkFrames, vm.memmap));
   HYPERTP_RETURN_IF_ERROR(AllocateVmStateFrames(vm));
 
   for (uint32_t i = 0; i < config.vcpus; ++i) {
@@ -204,7 +153,7 @@ Result<VmId> BhyveVisor::CreateVm(const VmConfig& config) {
 
 Result<void> BhyveVisor::DestroyVm(VmId id) {
   HYPERTP_ASSIGN_OR_RETURN(BhyveVm * vm, MutableVm(id));
-  FreeVmFrames(*vm);
+  FreeVmFrames(machine_->memory(), vm->uid);
   scheduler_.RemoveVm(vm->uid);
   vms_.erase(static_cast<int>(id));
   return OkResult();
@@ -396,10 +345,12 @@ Result<VmId> BhyveVisor::RestoreVmFromUisr(const UisrVm& uisr, const GuestMemory
 
   switch (binding.mode) {
     case GuestMemoryBinding::Mode::kAdoptInPlace:
-      HYPERTP_RETURN_IF_ERROR(AdoptGuestMemory(vm, binding.entries));
+      HYPERTP_RETURN_IF_ERROR(AdoptGuestFrames("bhyve", machine_->memory(), vm.uid,
+                                               vm.memory_bytes, binding.entries, vm.memmap));
       break;
     case GuestMemoryBinding::Mode::kAllocate:
-      HYPERTP_RETURN_IF_ERROR(AllocateGuestMemory(vm));
+      HYPERTP_RETURN_IF_ERROR(AllocateGuestFrames(machine_->memory(), vm.uid, vm.memory_bytes,
+                                                  vm.huge_pages, kSuperpageChunkFrames, vm.memmap));
       break;
   }
   HYPERTP_RETURN_IF_ERROR(AllocateVmStateFrames(vm));

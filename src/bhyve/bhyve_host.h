@@ -114,10 +114,7 @@ class BhyveVisor : public Hypervisor {
 
  private:
   Result<BhyveVm*> MutableVm(VmId id);
-  Result<void> AllocateGuestMemory(BhyveVm& vm);
-  Result<void> AdoptGuestMemory(BhyveVm& vm, const std::vector<PramPageEntry>& entries);
   Result<void> AllocateVmStateFrames(BhyveVm& vm);
-  void FreeVmFrames(const BhyveVm& vm);
 
   Machine* machine_;
   UleRunQueue scheduler_;

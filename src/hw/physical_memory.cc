@@ -34,6 +34,22 @@ PhysicalMemory::PhysicalMemory(uint64_t bytes)
   free_.emplace(1, total_frames_ - 1);
 }
 
+namespace {
+
+// The extent of `extents` (a PhysicalMemory extent map, const or not)
+// containing `mfn`, or nullptr.
+template <typename ExtentMap>
+auto* ExtentAt(ExtentMap& extents, Mfn mfn) {
+  auto it = extents.upper_bound(mfn);
+  decltype(&it->second) found = nullptr;
+  if (it != extents.begin() && std::prev(it)->second.range.Contains(mfn)) {
+    found = &std::prev(it)->second;
+  }
+  return found;
+}
+
+}  // namespace
+
 Result<Mfn> PhysicalMemory::Alloc(uint64_t count, uint64_t align_frames, FrameOwner owner) {
   if (count == 0 || align_frames == 0) {
     return InvalidArgumentError("alloc: count and alignment must be positive");
@@ -55,7 +71,8 @@ Result<Mfn> PhysicalMemory::Alloc(uint64_t count, uint64_t align_frames, FrameOw
       free_.emplace(aligned + count, hole_base + hole_count - (aligned + count));
     }
     free_frames_ -= count;
-    allocated_.emplace(aligned, FrameExtent{aligned, count, owner});
+    allocated_[aligned].range = FrameExtent{aligned, count, owner};
+    by_owner_.emplace(owner, aligned);
     return aligned;
   }
   return ResourceExhaustedError("alloc: no hole of " + std::to_string(count) +
@@ -80,53 +97,55 @@ void PhysicalMemory::InsertFree(Mfn base, uint64_t count) {
   free_.emplace(base, count);
 }
 
+PhysicalMemory::ExtentMap::iterator PhysicalMemory::Release(ExtentMap::iterator it) {
+  const FrameExtent range = it->second.range;
+  by_owner_.erase({range.owner, range.base});
+  free_frames_ += range.count;
+  InsertFree(range.base, range.count);
+  return allocated_.erase(it);  // Destroys the words, pages and backing with it.
+}
+
 Result<void> PhysicalMemory::Free(Mfn base, uint64_t count) {
   auto it = allocated_.find(base);
-  if (it == allocated_.end() || it->second.count != count) {
+  if (it == allocated_.end() || it->second.range.count != count) {
     return InvalidArgumentError("free: no allocated extent [" + std::to_string(base) + ", +" +
                                 std::to_string(count) + ")");
   }
-  DropBackingsIn(base, count);
-  for (Mfn m = base; m < base + count; ++m) {
-    content_.erase(m);
-    pages_.erase(m);
-  }
-  allocated_.erase(it);
-  free_frames_ += count;
-  InsertFree(base, count);
+  Release(it);
   return OkResult();
 }
 
 uint64_t PhysicalMemory::FreeAllOwnedBy(FrameOwner owner) {
   uint64_t freed = 0;
-  for (auto it = allocated_.begin(); it != allocated_.end();) {
-    if (it->second.owner == owner) {
-      const FrameExtent ext = it->second;
-      it = allocated_.erase(it);
-      DropBackingsIn(ext.base, ext.count);
-      for (Mfn m = ext.base; m < ext.end(); ++m) {
-        content_.erase(m);
-        pages_.erase(m);
-      }
-      free_frames_ += ext.count;
-      InsertFree(ext.base, ext.count);
-      freed += ext.count;
-    } else {
-      ++it;
-    }
+  for (auto it = by_owner_.lower_bound({owner, 0});
+       it != by_owner_.end() && it->first == owner;) {
+    auto ext = allocated_.find((it++)->second);
+    freed += ext->second.range.count;
+    Release(ext);
   }
   return freed;
 }
 
 Result<void> PhysicalMemory::WriteWord(Mfn mfn, uint64_t content) {
-  if (!IsAllocated(mfn)) {
+  Extent* ext = ExtentAt(allocated_, mfn);
+  if (ext == nullptr) {
     return FailedPreconditionError("write to unallocated frame " + std::to_string(mfn));
   }
-  if (content == 0) {
-    content_.erase(mfn);
-  } else {
-    content_[mfn] = content;
+  const uint64_t off = mfn - ext->range.base;
+  if (ext->words.empty()) {
+    if (content == 0) {
+      return OkResult();
+    }
+    ext->words.resize((ext->range.count + kWordBlock - 1) / kWordBlock);
   }
+  std::vector<uint64_t>& block = ext->words[off / kWordBlock];
+  if (block.empty()) {
+    if (content == 0) {
+      return OkResult();
+    }
+    block.resize(kWordBlock);
+  }
+  block[off % kWordBlock] = content;
   return OkResult();
 }
 
@@ -134,34 +153,35 @@ Result<uint64_t> PhysicalMemory::ReadWord(Mfn mfn) const {
   if (mfn >= total_frames_) {
     return OutOfRangeError("read of frame " + std::to_string(mfn) + " beyond RAM");
   }
-  auto it = content_.find(mfn);
-  return it == content_.end() ? 0 : it->second;
+  const Extent* ext = ExtentAt(allocated_, mfn);
+  if (ext == nullptr || ext->words.empty()) {
+    return 0;
+  }
+  const uint64_t off = mfn - ext->range.base;
+  const std::vector<uint64_t>& block = ext->words[off / kWordBlock];
+  return block.empty() ? 0 : block[off % kWordBlock];
 }
 
-bool PhysicalMemory::IsAllocated(Mfn mfn) const {
-  auto it = allocated_.upper_bound(mfn);
-  if (it == allocated_.begin()) {
-    return false;
-  }
-  return std::prev(it)->second.Contains(mfn);
-}
+bool PhysicalMemory::IsAllocated(Mfn mfn) const { return ExtentAt(allocated_, mfn) != nullptr; }
 
 Result<FrameOwner> PhysicalMemory::OwnerOf(Mfn mfn) const {
-  auto it = allocated_.upper_bound(mfn);
-  if (it != allocated_.begin()) {
-    const FrameExtent& ext = std::prev(it)->second;
-    if (ext.Contains(mfn)) {
-      return ext.owner;
-    }
+  if (const Extent* ext = ExtentAt(allocated_, mfn)) {
+    return ext->range.owner;
   }
   return NotFoundError("frame " + std::to_string(mfn) + " is not allocated");
+}
+
+bool PhysicalMemory::OwnsRange(Mfn base, uint64_t count, FrameOwner owner) const {
+  const Extent* ext = ExtentAt(allocated_, base);
+  return ext != nullptr && count > 0 && ext->range.owner == owner &&
+         count <= ext->range.end() - base;
 }
 
 std::vector<FrameExtent> PhysicalMemory::AllocatedExtents() const {
   std::vector<FrameExtent> out;
   out.reserve(allocated_.size());
   for (const auto& [base, ext] : allocated_) {
-    out.push_back(ext);
+    out.push_back(ext.range);
   }
   return out;
 }
@@ -169,8 +189,8 @@ std::vector<FrameExtent> PhysicalMemory::AllocatedExtents() const {
 std::vector<FrameExtent> PhysicalMemory::ExtentsOfKind(FrameOwnerKind kind) const {
   std::vector<FrameExtent> out;
   for (const auto& [base, ext] : allocated_) {
-    if (ext.owner.kind == kind) {
-      out.push_back(ext);
+    if (ext.range.owner.kind == kind) {
+      out.push_back(ext.range);
     }
   }
   return out;
@@ -196,44 +216,37 @@ uint64_t PhysicalMemory::ScrubExcept(const std::vector<FrameExtent>& preserved) 
 
   uint64_t scrubbed = 0;
   for (auto it = allocated_.begin(); it != allocated_.end();) {
-    if (!covered(it->second)) {
-      const FrameExtent ext = it->second;
-      it = allocated_.erase(it);
-      DropBackingsIn(ext.base, ext.count);
-      for (Mfn m = ext.base; m < ext.end(); ++m) {
-        content_.erase(m);  // The scrub really destroys the contents.
-        pages_.erase(m);
-      }
-      free_frames_ += ext.count;
-      InsertFree(ext.base, ext.count);
-      scrubbed += ext.count;
-    } else {
+    if (covered(it->second.range)) {
       ++it;
+    } else {
+      scrubbed += it->second.range.count;
+      it = Release(it);
     }
   }
   return scrubbed;
 }
 
 Result<void> PhysicalMemory::WritePage(Mfn mfn, std::vector<uint8_t> bytes) {
-  if (!IsAllocated(mfn)) {
+  Extent* ext = ExtentAt(allocated_, mfn);
+  if (ext == nullptr) {
     return FailedPreconditionError("page write to unallocated frame " + std::to_string(mfn));
   }
   if (bytes.size() > kPageSize) {
     return InvalidArgumentError("page payload of " + std::to_string(bytes.size()) +
                                 " bytes exceeds frame size");
   }
-  // A frame inside a contiguous backing stays there: the page write replaces
-  // its slice (zero-padded, matching whole-page overwrite semantics), so
+  const uint64_t off = mfn - ext->range.base;
+  // A frame of a backed extent stays there: the page write replaces its
+  // slice (zero-padded, matching whole-page overwrite semantics), so
   // page-level corruption of a parked blob lands in the same storage the
   // zero-copy decode reads.
-  Mfn backing_base = 0;
-  if (BackingBytes* backing = BackingFor(mfn, &backing_base)) {
-    uint8_t* slice = backing->data.get() + (mfn - backing_base) * kPageSize;
+  if (ext->backing.size > 0) {
+    uint8_t* slice = ext->backing.data.get() + off * kPageSize;
     std::fill(slice, slice + kPageSize, 0);
     std::copy(bytes.begin(), bytes.end(), slice);
     return OkResult();
   }
-  pages_[mfn] = std::move(bytes);
+  ext->pages[off] = std::move(bytes);
   return OkResult();
 }
 
@@ -241,13 +254,17 @@ Result<std::vector<uint8_t>> PhysicalMemory::ReadPage(Mfn mfn) const {
   if (mfn >= total_frames_) {
     return OutOfRangeError("page read of frame " + std::to_string(mfn) + " beyond RAM");
   }
-  Mfn backing_base = 0;
-  if (const BackingBytes* backing = BackingFor(mfn, &backing_base)) {
-    const uint8_t* slice = backing->data.get() + (mfn - backing_base) * kPageSize;
+  const Extent* ext = ExtentAt(allocated_, mfn);
+  if (ext == nullptr) {
+    return std::vector<uint8_t>{};
+  }
+  const uint64_t off = mfn - ext->range.base;
+  if (ext->backing.size > 0) {
+    const uint8_t* slice = ext->backing.data.get() + off * kPageSize;
     return std::vector<uint8_t>(slice, slice + kPageSize);
   }
-  auto it = pages_.find(mfn);
-  if (it == pages_.end()) {
+  auto it = ext->pages.find(off);
+  if (it == ext->pages.end()) {
     return std::vector<uint8_t>{};
   }
   return it->second;
@@ -258,87 +275,42 @@ Result<std::span<uint8_t>> PhysicalMemory::BackExtent(Mfn base, uint64_t frames,
   if (frames == 0) {
     return InvalidArgumentError("back extent: frame count must be positive");
   }
-  auto it = allocated_.upper_bound(base);
-  if (it == allocated_.begin()) {
-    return FailedPreconditionError("back extent: frame " + std::to_string(base) +
-                                   " is not allocated");
-  }
-  const FrameExtent& ext = std::prev(it)->second;
-  if (!ext.Contains(base) || base + frames > ext.end()) {
+  auto it = allocated_.find(base);
+  if (it == allocated_.end() || it->second.range.count != frames) {
     return FailedPreconditionError("back extent: [" + std::to_string(base) + ", +" +
-                                   std::to_string(frames) +
-                                   ") does not lie inside one allocated extent");
+                                   std::to_string(frames) + ") is not one allocated extent");
   }
-  // One backing per frame: replace any overlapping backings or stale per-page
-  // payloads rather than shadowing them.
-  DropBackingsIn(base, frames);
-  for (Mfn m = base; m < base + frames; ++m) {
-    pages_.erase(m);
-  }
+  Extent& ext = it->second;
+  // One store per frame: the backing replaces any per-page payloads.
+  ext.pages.clear();
   const size_t bytes = frames * kPageSize;
-  BackingBytes backing;
-  backing.data = std::unique_ptr<uint8_t[]>(new uint8_t[bytes]);  // Uninitialized.
-  backing.size = bytes;
+  ext.backing.data = std::make_unique_for_overwrite<uint8_t[]>(bytes);
+  ext.backing.size = bytes;
   // Honor the caller's overwrite promise: zero only what it won't write.
   const size_t zero_from = skip_zero_prefix < bytes ? skip_zero_prefix : bytes;
-  std::fill(backing.data.get() + zero_from, backing.data.get() + bytes, 0);
-  auto [entry, inserted] = backed_.emplace(base, std::move(backing));
-  (void)inserted;
-  return std::span<uint8_t>(entry->second.data.get(), entry->second.size);
+  std::fill(ext.backing.data.get() + zero_from, ext.backing.data.get() + bytes, 0);
+  return std::span<uint8_t>(ext.backing.data.get(), bytes);
 }
 
 Result<std::span<const uint8_t>> PhysicalMemory::BackedExtent(Mfn base, uint64_t frames) const {
-  auto it = backed_.find(base);
-  if (it == backed_.end() || it->second.size != frames * kPageSize) {
+  auto it = allocated_.find(base);
+  if (it == allocated_.end() || it->second.backing.size == 0 ||
+      it->second.range.count != frames) {
     return NotFoundError("no contiguous backing for [" + std::to_string(base) + ", +" +
                          std::to_string(frames) + ")");
   }
-  return std::span<const uint8_t>(it->second.data.get(), it->second.size);
-}
-
-void PhysicalMemory::DropBackingsIn(Mfn base, uint64_t count) {
-  if (backed_.empty()) {
-    return;
-  }
-  const Mfn end = base + count;
-  auto it = backed_.upper_bound(base);
-  // A backing starting before `base` can still reach into the range.
-  if (it != backed_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->first + prev->second.size / kPageSize > base) {
-      it = prev;
-    }
-  }
-  while (it != backed_.end() && it->first < end) {
-    it = backed_.erase(it);
-  }
-}
-
-const PhysicalMemory::BackingBytes* PhysicalMemory::BackingFor(Mfn mfn, Mfn* backing_base) const {
-  auto it = backed_.upper_bound(mfn);
-  if (it == backed_.begin()) {
-    return nullptr;
-  }
-  const auto& [base, bytes] = *std::prev(it);
-  if (mfn >= base + bytes.size / kPageSize) {
-    return nullptr;
-  }
-  *backing_base = base;
-  return &bytes;
-}
-
-PhysicalMemory::BackingBytes* PhysicalMemory::BackingFor(Mfn mfn, Mfn* backing_base) {
-  return const_cast<BackingBytes*>(
-      static_cast<const PhysicalMemory*>(this)->BackingFor(mfn, backing_base));
+  return std::span<const uint8_t>(it->second.backing.data.get(), it->second.backing.size);
 }
 
 Result<void> PhysicalMemory::Reassign(Mfn base, uint64_t count, FrameOwner new_owner) {
   auto it = allocated_.find(base);
-  if (it == allocated_.end() || it->second.count != count) {
+  if (it == allocated_.end() || it->second.range.count != count) {
     return InvalidArgumentError("reassign: no allocated extent [" + std::to_string(base) + ", +" +
                                 std::to_string(count) + ")");
   }
-  it->second.owner = new_owner;
+  by_owner_.erase({it->second.range.owner, base});
+  by_owner_.emplace(new_owner, base);
+  it->second.range.owner = new_owner;
   return OkResult();
 }
 

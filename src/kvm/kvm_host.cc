@@ -19,22 +19,9 @@ constexpr uint64_t kVmmWorkingFrames = 16384;  // 64 MiB.
 
 KvmHost::KvmHost(Machine& machine)
     : machine_(&machine), scheduler_(machine.profile().threads) {
-  // Chunked like XenVisor's boot allocation: after a micro-reboot, free RAM
-  // is fragmented around the preserved guest frames.
-  const FrameOwner hv{FrameOwnerKind::kHypervisor, 0};
-  uint64_t remaining = kHostLinuxBytes / kPageSize;
-  uint64_t chunk = kMmapChunkFrames;
-  while (remaining > 0 && chunk > 0) {
-    const uint64_t want = std::min(remaining, chunk);
-    auto mfn = machine_->memory().Alloc(want, 1, hv);
-    if (mfn.ok()) {
-      hv_frames_ += want;
-      remaining -= want;
-    } else {
-      chunk /= 2;
-    }
-  }
-  if (remaining > 0) {
+  const uint64_t wanted = kHostLinuxBytes / kPageSize;
+  hv_frames_ = ClaimHypervisorFrames(machine_->memory(), wanted, kMmapChunkFrames);
+  if (hv_frames_ < wanted) {
     HYPERTP_LOG(kError, "kvm") << "boot: machine too small for host Linux";
   }
   HYPERTP_LOG(kInfo, "kvm") << "kvmish-5.3 booted on " << machine_->hostname();
@@ -42,7 +29,7 @@ KvmHost::KvmHost(Machine& machine)
 
 KvmHost::~KvmHost() {
   for (auto& [fd, vm] : vms_) {
-    FreeVmFrames(vm);
+    FreeVmFrames(machine_->memory(), vm.uid);
   }
   if (hv_frames_ > 0) {
     machine_->memory().FreeAllOwnedBy(FrameOwner{FrameOwnerKind::kHypervisor, 0});
@@ -74,40 +61,6 @@ Result<VmId> KvmHost::FindVmByUid(uint64_t uid) const {
   return NotFoundError("kvm: no vm with uid " + std::to_string(uid));
 }
 
-Result<void> KvmHost::AllocateGuestMemory(KvmVm& vm) {
-  const FrameOwner owner{FrameOwnerKind::kGuest, vm.uid};
-  uint64_t remaining = vm.memory_bytes / kPageSize;
-  Gfn gfn = 0;
-  const uint64_t align = vm.huge_pages ? kFramesPerHugePage : 1;
-  while (remaining > 0) {
-    const uint64_t chunk = std::min(remaining, kMmapChunkFrames);
-    HYPERTP_ASSIGN_OR_RETURN(Mfn mfn, machine_->memory().Alloc(chunk, align, owner));
-    HYPERTP_RETURN_IF_ERROR(vm.memslots.MapExtent(gfn, mfn, chunk));
-    gfn += chunk;
-    remaining -= chunk;
-  }
-  return OkResult();
-}
-
-Result<void> KvmHost::AdoptGuestMemory(KvmVm& vm, const std::vector<PramPageEntry>& entries) {
-  const FrameOwner owner{FrameOwnerKind::kGuest, vm.uid};
-  for (const PramPageEntry& e : entries) {
-    for (Mfn m = e.mfn; m < e.mfn + e.frame_count(); ++m) {
-      HYPERTP_ASSIGN_OR_RETURN(FrameOwner actual, machine_->memory().OwnerOf(m));
-      if (!(actual == owner)) {
-        return DataLossError("kvm: in-place frame " + std::to_string(m) +
-                             " not owned by guest uid " + std::to_string(vm.uid));
-      }
-    }
-    HYPERTP_RETURN_IF_ERROR(vm.memslots.MapExtent(e.gfn, e.mfn, e.frame_count()));
-  }
-  if (vm.memslots.mapped_frames() != vm.memory_bytes / kPageSize) {
-    return DataLossError("kvm: PRAM file covers " + std::to_string(vm.memslots.mapped_frames()) +
-                         " frames, VM declares " + std::to_string(vm.memory_bytes / kPageSize));
-  }
-  return OkResult();
-}
-
 Result<void> KvmHost::AllocateVmStateFrames(KvmVm& vm) {
   const FrameOwner state_owner{FrameOwnerKind::kVmState, vm.uid};
   const FrameOwner vmm_owner{FrameOwnerKind::kVmm, vm.uid};
@@ -120,12 +73,6 @@ Result<void> KvmHost::AllocateVmStateFrames(KvmVm& vm) {
   (void)vmm;
   vm.vmm.working_frames = kVmmWorkingFrames;
   return OkResult();
-}
-
-void KvmHost::FreeVmFrames(const KvmVm& vm) {
-  machine_->memory().FreeAllOwnedBy(FrameOwner{FrameOwnerKind::kGuest, vm.uid});
-  machine_->memory().FreeAllOwnedBy(FrameOwner{FrameOwnerKind::kVmState, vm.uid});
-  machine_->memory().FreeAllOwnedBy(FrameOwner{FrameOwnerKind::kVmm, vm.uid});
 }
 
 Result<VmId> KvmHost::CreateVm(const VmConfig& config) {
@@ -167,7 +114,8 @@ Result<VmId> KvmHost::CreateVm(const VmConfig& config) {
   vm.pit.channels[0].mode = 2;
   vm.pit.channels[0].gate = 1;
 
-  HYPERTP_RETURN_IF_ERROR(AllocateGuestMemory(vm));
+  HYPERTP_RETURN_IF_ERROR(AllocateGuestFrames(machine_->memory(), vm.uid, vm.memory_bytes,
+                                                  vm.huge_pages, kMmapChunkFrames, vm.memslots));
   HYPERTP_RETURN_IF_ERROR(AllocateVmStateFrames(vm));
 
   for (uint32_t i = 0; i < config.vcpus; ++i) {
@@ -184,7 +132,7 @@ Result<VmId> KvmHost::CreateVm(const VmConfig& config) {
 
 Result<void> KvmHost::DestroyVm(VmId id) {
   HYPERTP_ASSIGN_OR_RETURN(KvmVm * vm, MutableVm(id));
-  FreeVmFrames(*vm);
+  FreeVmFrames(machine_->memory(), vm->uid);
   scheduler_.RemoveVm(vm->uid);
   vms_.erase(static_cast<int>(id));
   return OkResult();
@@ -391,10 +339,12 @@ Result<VmId> KvmHost::RestoreVmFromUisr(const UisrVm& uisr, const GuestMemoryBin
 
   switch (binding.mode) {
     case GuestMemoryBinding::Mode::kAdoptInPlace:
-      HYPERTP_RETURN_IF_ERROR(AdoptGuestMemory(vm, binding.entries));
+      HYPERTP_RETURN_IF_ERROR(AdoptGuestFrames("kvm", machine_->memory(), vm.uid,
+                                               vm.memory_bytes, binding.entries, vm.memslots));
       break;
     case GuestMemoryBinding::Mode::kAllocate:
-      HYPERTP_RETURN_IF_ERROR(AllocateGuestMemory(vm));
+      HYPERTP_RETURN_IF_ERROR(AllocateGuestFrames(machine_->memory(), vm.uid, vm.memory_bytes,
+                                                  vm.huge_pages, kMmapChunkFrames, vm.memslots));
       break;
   }
   HYPERTP_RETURN_IF_ERROR(AllocateVmStateFrames(vm));

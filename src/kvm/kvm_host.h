@@ -108,10 +108,7 @@ class KvmHost : public Hypervisor {
 
  private:
   Result<KvmVm*> MutableVm(VmId id);
-  Result<void> AllocateGuestMemory(KvmVm& vm);
-  Result<void> AdoptGuestMemory(KvmVm& vm, const std::vector<PramPageEntry>& entries);
   Result<void> AllocateVmStateFrames(KvmVm& vm);
-  void FreeVmFrames(const KvmVm& vm);
 
   Machine* machine_;
   CfsScheduler scheduler_;

@@ -1,6 +1,7 @@
 #include "src/pram/pram.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "src/base/bytes.h"
 #include "src/base/crc32.h"
@@ -158,7 +159,6 @@ Result<PramHandle> PramBuilder::Finalize() {
   const FrameOwner owner{FrameOwnerKind::kPramMeta, 0};
   auto alloc_page = [&]() -> Result<Mfn> {
     HYPERTP_ASSIGN_OR_RETURN(Mfn mfn, ram_->AllocFrame(owner));
-    handle.extents.push_back(FrameExtent{mfn, 1, owner});
     ++handle.metadata_pages;
     return mfn;
   };
@@ -239,8 +239,16 @@ Result<PramHandle> PramBuilder::Finalize() {
 
 Result<PramImage> ParsePram(const PhysicalMemory& ram, Mfn root_mfn) {
   PramImage image;
-  Mfn root = root_mfn;
-  while (root != 0) {
+  std::unordered_set<Mfn> visited;
+  // Records `mfn` in the walk; false when the walk already reached it.
+  auto visit = [&](Mfn mfn) {
+    image.metadata_mfns.push_back(mfn);
+    return visited.insert(mfn).second;
+  };
+  for (Mfn root = root_mfn; root != 0;) {
+    if (!visit(root)) {
+      return DataLossError("pram: root chain revisits mfn " + std::to_string(root));
+    }
     HYPERTP_ASSIGN_OR_RETURN(auto root_bytes, LoadPage(ram, root, kRootMagic));
     ByteReader r(root_bytes);
     HYPERTP_RETURN_IF_ERROR(r.Skip(kPageHeaderSize));
@@ -251,6 +259,10 @@ Result<PramImage> ParsePram(const PhysicalMemory& ram, Mfn root_mfn) {
     }
     for (uint32_t i = 0; i < count; ++i) {
       HYPERTP_ASSIGN_OR_RETURN(Mfn info_mfn, r.ReadU64());
+      if (!visit(info_mfn)) {
+        return DataLossError("pram: root chain reaches file info page at mfn " +
+                             std::to_string(info_mfn) + " twice");
+      }
       HYPERTP_ASSIGN_OR_RETURN(auto info_bytes, LoadPage(ram, info_mfn, kFileMagic));
       ByteReader fr(info_bytes);
       HYPERTP_RETURN_IF_ERROR(fr.Skip(kPageHeaderSize));
@@ -265,6 +277,10 @@ Result<PramImage> ParsePram(const PhysicalMemory& ram, Mfn root_mfn) {
 
       Gfn cursor = 0;
       while (node_mfn != 0) {
+        if (!visit(node_mfn)) {
+          return DataLossError("pram: node chain of file '" + file.name + "' revisits mfn " +
+                               std::to_string(node_mfn));
+        }
         HYPERTP_ASSIGN_OR_RETURN(auto node_bytes, LoadPage(ram, node_mfn, kNodeMagic));
         ByteReader nr(node_bytes);
         HYPERTP_RETURN_IF_ERROR(nr.Skip(kPageHeaderSize));
@@ -279,6 +295,11 @@ Result<PramImage> ParsePram(const PhysicalMemory& ram, Mfn root_mfn) {
           if (type == kEntryTypeSkip) {
             cursor += word & kEntryValueMask;
           } else if (type == kEntryTypeMap) {
+            if (file.entries.size() == entry_count) {
+              return DataLossError("pram: node chain of file '" + file.name +
+                                   "' yields more than the " + std::to_string(entry_count) +
+                                   " entries its file info page declares");
+            }
             PramPageEntry e;
             e.mfn = word & kEntryValueMask;
             e.order = static_cast<uint8_t>((word >> kEntryOrderShift) & kEntryOrderMask);
@@ -303,55 +324,38 @@ Result<PramImage> ParsePram(const PhysicalMemory& ram, Mfn root_mfn) {
   return image;
 }
 
-Result<std::vector<FrameExtent>> PramPreservationList(const PhysicalMemory& ram, Mfn root_mfn,
-                                                      const PramImage& image) {
-  std::vector<FrameExtent> raw;
-
-  // Metadata pages: re-walk the chains.
-  Mfn root = root_mfn;
-  while (root != 0) {
-    raw.push_back(FrameExtent{root, 1, FrameOwner{FrameOwnerKind::kPramMeta, 0}});
-    HYPERTP_ASSIGN_OR_RETURN(auto root_bytes, LoadPage(ram, root, kRootMagic));
-    ByteReader r(root_bytes);
-    HYPERTP_RETURN_IF_ERROR(r.Skip(kPageHeaderSize));
-    HYPERTP_ASSIGN_OR_RETURN(Mfn next_root, r.ReadU64());
-    HYPERTP_ASSIGN_OR_RETURN(uint32_t count, r.ReadU32());
-    for (uint32_t i = 0; i < count; ++i) {
-      HYPERTP_ASSIGN_OR_RETURN(Mfn info_mfn, r.ReadU64());
-      raw.push_back(FrameExtent{info_mfn, 1, FrameOwner{FrameOwnerKind::kPramMeta, 0}});
-      HYPERTP_ASSIGN_OR_RETURN(auto info_bytes, LoadPage(ram, info_mfn, kFileMagic));
-      ByteReader fr(info_bytes);
-      HYPERTP_RETURN_IF_ERROR(fr.Skip(kPageHeaderSize));
-      HYPERTP_RETURN_IF_ERROR(fr.Skip(8));  // file_id
-      HYPERTP_ASSIGN_OR_RETURN(std::string name, fr.ReadString());
-      (void)name;
-      HYPERTP_RETURN_IF_ERROR(fr.Skip(8 + 1));  // size + huge flag
-      HYPERTP_ASSIGN_OR_RETURN(Mfn node_mfn, fr.ReadU64());
-      while (node_mfn != 0) {
-        raw.push_back(FrameExtent{node_mfn, 1, FrameOwner{FrameOwnerKind::kPramMeta, 0}});
-        HYPERTP_ASSIGN_OR_RETURN(auto node_bytes, LoadPage(ram, node_mfn, kNodeMagic));
-        ByteReader nr(node_bytes);
-        HYPERTP_RETURN_IF_ERROR(nr.Skip(kPageHeaderSize));
-        HYPERTP_ASSIGN_OR_RETURN(node_mfn, nr.ReadU64());
+Result<std::vector<FrameExtent>> PramPreservationList(const PhysicalMemory& /*ram*/,
+                                                      Mfn root_mfn, const PramImage& image) {
+  if (image.metadata_mfns.empty() || image.metadata_mfns.front() != root_mfn) {
+    return InvalidArgumentError("pram: preservation list needs the image ParsePram walked from "
+                                "root mfn " + std::to_string(root_mfn));
+  }
+  const FrameOwner meta{FrameOwnerKind::kPramMeta, 0};
+  std::vector<FrameExtent> runs;
+  runs.reserve(image.metadata_mfns.size());
+  for (Mfn mfn : image.metadata_mfns) {
+    runs.push_back(FrameExtent{mfn, 1, meta});
+  }
+  // Guest frames named by page entries, merged into MFN-adjacent runs while
+  // walking each file in gfn order.
+  for (const PramFile& file : image.files) {
+    const FrameOwner owner{FrameOwnerKind::kGuest, file.file_id};
+    const size_t first = runs.size();
+    for (const PramPageEntry& e : file.entries) {
+      if (runs.size() > first && runs.back().end() == e.mfn) {
+        runs.back().count += e.frame_count();
+      } else {
+        runs.push_back(FrameExtent{e.mfn, e.frame_count(), owner});
       }
     }
-    root = next_root;
   }
 
-  // Guest frames named by page entries.
-  for (const PramFile& file : image.files) {
-    for (const PramPageEntry& e : file.entries) {
-      raw.push_back(
-          FrameExtent{e.mfn, e.frame_count(), FrameOwner{FrameOwnerKind::kGuest, file.file_id}});
-    }
-  }
-
-  // Sort and coalesce adjacent/overlapping extents so a guest allocation that
+  // Sort and coalesce adjacent/overlapping runs so a guest allocation that
   // spans many PRAM entries is covered by one preserved extent.
-  std::sort(raw.begin(), raw.end(),
+  std::sort(runs.begin(), runs.end(),
             [](const FrameExtent& a, const FrameExtent& b) { return a.base < b.base; });
   std::vector<FrameExtent> merged;
-  for (const FrameExtent& e : raw) {
+  for (const FrameExtent& e : runs) {
     if (!merged.empty() && e.base <= merged.back().end()) {
       merged.back().count = std::max(merged.back().end(), e.end()) - merged.back().base;
     } else {

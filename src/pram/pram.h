@@ -55,16 +55,19 @@ struct PramFile {
 // The logical content of a PRAM structure.
 struct PramImage {
   std::vector<PramFile> files;
+  // Walk record: every metadata frame ParsePram visited (root, file info and
+  // node pages), in walk order, root first. Empty for builder-side images.
+  std::vector<Mfn> metadata_mfns;
 
   const PramFile* FindFile(uint64_t file_id) const;
-  bool operator==(const PramImage&) const = default;
+  // Compares the logical content only: builder-side images have no record.
+  bool operator==(const PramImage& other) const { return files == other.files; }
 };
 
 // Where a PRAM structure physically lives.
 struct PramHandle {
   Mfn root_mfn = 0;                   // The PRAM pointer.
   uint64_t metadata_pages = 0;
-  std::vector<FrameExtent> extents;   // All metadata frames, for preservation.
 
   uint64_t metadata_bytes() const { return metadata_pages * kPageSize; }
 };
@@ -101,12 +104,23 @@ class PramBuilder {
 
 // Parses a PRAM structure from RAM starting at the PRAM pointer. Verifies
 // per-page magic and CRC. This is what the freshly booted target hypervisor
-// runs at early boot, before touching the allocator.
+// runs at early boot, before touching the allocator. The structure is
+// hostile input (the source side may be compromised), so the walk is
+// bounded: it is the only walk of the chains, it records every metadata
+// frame it visits in `metadata_mfns`, and it fails closed with kDataLoss
+// naming the chain (and file) when a root, file info or node page is reached
+// twice, or when a file's node chain yields more entries than its file info
+// page declares. Both checks run before any entry beyond the declared count
+// is stored.
 Result<PramImage> ParsePram(const PhysicalMemory& ram, Mfn root_mfn);
 
-// Computes the frame extents the scrubber must preserve for `image` rooted at
-// `root_mfn`: every metadata page plus every guest extent named by a page
-// entry. Extents are sorted and coalesced.
+// Computes the frame extents the scrubber must preserve for `image`, which
+// must come from ParsePram(ram, root_mfn): every metadata page of its walk
+// record plus every guest extent named by a page entry. MFN-adjacent entries
+// of a file are merged in its gfn-ordered pass, so only those runs are
+// sorted; the result is sorted and coalesced. An image without a walk record
+// for `root_mfn` (e.g. a builder-side image) is rejected rather than
+// re-walked. `ram` is not read: the walk record already holds everything.
 Result<std::vector<FrameExtent>> PramPreservationList(const PhysicalMemory& ram, Mfn root_mfn,
                                                       const PramImage& image);
 

@@ -19,24 +19,10 @@ constexpr uint64_t kGuestChunkFrames = 32768;
 
 XenVisor::XenVisor(Machine& machine)
     : machine_(&machine), scheduler_(machine.profile().threads) {
-  // Boot: the Xen core and dom0 claim their RAM (HV State). Allocation is
-  // chunked because after a micro-reboot free RAM is fragmented around the
-  // preserved guest frames — neither Xen's heap nor dom0 needs physically
-  // contiguous memory.
-  const FrameOwner hv{FrameOwnerKind::kHypervisor, 0};
-  uint64_t remaining = (kXenHeapBytes + kDom0Bytes) / kPageSize;
-  uint64_t chunk = kGuestChunkFrames;
-  while (remaining > 0 && chunk > 0) {
-    const uint64_t want = std::min(remaining, chunk);
-    auto mfn = machine_->memory().Alloc(want, 1, hv);
-    if (mfn.ok()) {
-      hv_frames_ += want;
-      remaining -= want;
-    } else {
-      chunk /= 2;  // Fall back to smaller pieces in fragmented holes.
-    }
-  }
-  if (remaining > 0) {
+  // Boot: the Xen core and dom0 claim their RAM (HV State).
+  const uint64_t wanted = (kXenHeapBytes + kDom0Bytes) / kPageSize;
+  hv_frames_ = ClaimHypervisorFrames(machine_->memory(), wanted, kGuestChunkFrames);
+  if (hv_frames_ < wanted) {
     HYPERTP_LOG(kError, "xen") << "boot: machine too small for Xen + dom0";
   }
   HYPERTP_LOG(kInfo, "xen") << "xenvisor-4.12 booted on " << machine_->hostname();
@@ -47,7 +33,7 @@ XenVisor::~XenVisor() {
   // DetachForMicroReboot() there is nothing left to release — the scrubber
   // owns the machine's fate.
   for (auto& [domid, domain] : domains_) {
-    FreeDomainFrames(domain);
+    FreeVmFrames(machine_->memory(), domain.uid);
   }
   if (hv_frames_ > 0) {
     machine_->memory().FreeAllOwnedBy(FrameOwner{FrameOwnerKind::kHypervisor, 0});
@@ -80,49 +66,18 @@ Result<VmId> XenVisor::FindVmByUid(uint64_t uid) const {
 }
 
 Result<void> XenVisor::AllocateGuestMemory(XenDomain& domain) {
-  const FrameOwner owner{FrameOwnerKind::kGuest, domain.uid};
   const FrameOwner state_owner{FrameOwnerKind::kVmState, domain.uid};
-  uint64_t remaining = domain.memory_bytes / kPageSize;
-  Gfn gfn = 0;
-  const uint64_t align = domain.huge_pages ? kFramesPerHugePage : 1;
-  while (remaining > 0) {
-    const uint64_t chunk = std::min(remaining, kGuestChunkFrames);
-    // Interleave a small NPT allocation first: this is what scatters guest
-    // memory across the machine.
-    const uint64_t npt_piece = chunk / 512 + 1;
-    HYPERTP_ASSIGN_OR_RETURN(Mfn npt_mfn, machine_->memory().Alloc(npt_piece, 1, state_owner));
-    (void)npt_mfn;
-    domain.npt_frames += npt_piece;
-
-    HYPERTP_ASSIGN_OR_RETURN(Mfn mfn, machine_->memory().Alloc(chunk, align, owner));
-    HYPERTP_RETURN_IF_ERROR(domain.p2m.MapExtent(gfn, mfn, chunk));
-    gfn += chunk;
-    remaining -= chunk;
-  }
-  return OkResult();
-}
-
-Result<void> XenVisor::AdoptGuestMemory(XenDomain& domain,
-                                        const std::vector<PramPageEntry>& entries) {
-  const FrameOwner owner{FrameOwnerKind::kGuest, domain.uid};
-  for (const PramPageEntry& e : entries) {
-    // The frames must have survived the reboot (still allocated, still owned
-    // by this VM's uid) — anything else means the PRAM reservation failed.
-    for (Mfn m = e.mfn; m < e.mfn + e.frame_count(); ++m) {
-      HYPERTP_ASSIGN_OR_RETURN(FrameOwner actual, machine_->memory().OwnerOf(m));
-      if (!(actual == owner)) {
-        return DataLossError("xen: in-place frame " + std::to_string(m) +
-                             " not owned by guest uid " + std::to_string(domain.uid));
-      }
-    }
-    HYPERTP_RETURN_IF_ERROR(domain.p2m.MapExtent(e.gfn, e.mfn, e.frame_count()));
-  }
-  if (domain.p2m.mapped_frames() != domain.memory_bytes / kPageSize) {
-    return DataLossError("xen: PRAM file covers " + std::to_string(domain.p2m.mapped_frames()) +
-                         " frames, VM declares " +
-                         std::to_string(domain.memory_bytes / kPageSize));
-  }
-  return OkResult();
+  // Interleave a small NPT allocation before each chunk: this is what
+  // scatters guest memory across the machine.
+  return AllocateGuestFrames(machine_->memory(), domain.uid, domain.memory_bytes,
+                             domain.huge_pages, kGuestChunkFrames, domain.p2m,
+                             [&](uint64_t chunk) -> Result<void> {
+                               const uint64_t npt_piece = chunk / 512 + 1;
+                               HYPERTP_RETURN_IF_ERROR(
+                                   machine_->memory().Alloc(npt_piece, 1, state_owner));
+                               domain.npt_frames += npt_piece;
+                               return OkResult();
+                             });
 }
 
 Result<void> XenVisor::AllocateVmStateFrames(XenDomain& domain) {
@@ -163,11 +118,6 @@ void XenVisor::SetupPvInfrastructure(XenDomain& domain) {
   domain.xenstore["name"] = domain.name;
   domain.xenstore["memory/target"] = std::to_string(domain.memory_bytes >> 10);
   domain.xenstore["vm"] = "/vm/" + std::to_string(domain.uid);
-}
-
-void XenVisor::FreeDomainFrames(const XenDomain& domain) {
-  machine_->memory().FreeAllOwnedBy(FrameOwner{FrameOwnerKind::kGuest, domain.uid});
-  machine_->memory().FreeAllOwnedBy(FrameOwner{FrameOwnerKind::kVmState, domain.uid});
 }
 
 Result<VmId> XenVisor::CreateVm(const VmConfig& config) {
@@ -231,7 +181,7 @@ Result<VmId> XenVisor::CreateVm(const VmConfig& config) {
 
 Result<void> XenVisor::DestroyVm(VmId id) {
   HYPERTP_ASSIGN_OR_RETURN(XenDomain * domain, MutableDomain(id));
-  FreeDomainFrames(*domain);
+  FreeVmFrames(machine_->memory(), domain->uid);
   scheduler_.RemoveDomain(domain->domid);
   domains_.erase(static_cast<uint32_t>(id));
   return OkResult();
@@ -416,7 +366,8 @@ Result<VmId> XenVisor::RestoreVmFromUisr(const UisrVm& uisr, const GuestMemoryBi
 
   switch (binding.mode) {
     case GuestMemoryBinding::Mode::kAdoptInPlace:
-      HYPERTP_RETURN_IF_ERROR(AdoptGuestMemory(domain, binding.entries));
+      HYPERTP_RETURN_IF_ERROR(AdoptGuestFrames("xen", machine_->memory(), domain.uid,
+                                               domain.memory_bytes, binding.entries, domain.p2m));
       break;
     case GuestMemoryBinding::Mode::kAllocate:
       HYPERTP_RETURN_IF_ERROR(AllocateGuestMemory(domain));

@@ -88,12 +88,9 @@ class XenVisor : public Hypervisor {
   Result<XenDomain*> MutableDomain(VmId id);
   // Allocates guest memory for `domain` with the chunked+interleaved policy.
   Result<void> AllocateGuestMemory(XenDomain& domain);
-  // Adopts in-place frames described by PRAM entries (InPlaceTP restore).
-  Result<void> AdoptGuestMemory(XenDomain& domain, const std::vector<PramPageEntry>& entries);
   // NPT + context frames for a domain (owner kVmState).
   Result<void> AllocateVmStateFrames(XenDomain& domain);
   void SetupPvInfrastructure(XenDomain& domain);
-  void FreeDomainFrames(const XenDomain& domain);
 
   Machine* machine_;
   CreditScheduler scheduler_;

@@ -70,6 +70,60 @@ TEST(GuestAddressSpaceTest, DirtyLogging) {
   EXPECT_EQ(space.dirty_count(), 0u);
 }
 
+// DumpNonZero must list exactly what per-gfn reads see, in gfn order, even
+// when the map's MFN order differs from its gfn order and another VM's
+// written frames sit between this VM's extents.
+TEST(GuestAddressSpaceTest, DumpNonZeroMatchesPerGfnReadsOnAFragmentedMap) {
+  PhysicalMemory ram(8 << 20);  // 2048 frames.
+  constexpr FrameOwner kOther{FrameOwnerKind::kGuest, 2};
+  // Physical layout: a0 b0 a1 b1 a2, extents of varying size.
+  const Mfn a0 = ram.Alloc(100, 1, kGuest).value();
+  const Mfn b0 = ram.Alloc(70, 1, kOther).value();
+  const Mfn a1 = ram.Alloc(130, 1, kGuest).value();
+  const Mfn b1 = ram.Alloc(90, 1, kOther).value();
+  const Mfn a2 = ram.Alloc(65, 1, kGuest).value();
+
+  // Guest A maps them out of MFN order and with a gfn hole; B is interleaved.
+  GuestAddressSpace a;
+  ASSERT_TRUE(a.MapExtent(0, a2, 65).ok());
+  ASSERT_TRUE(a.MapExtent(65, a0 + 40, 60).ok());
+  ASSERT_TRUE(a.MapExtent(200, a1, 130).ok());
+  ASSERT_TRUE(a.MapExtent(330, a0, 40).ok());
+  GuestAddressSpace b;
+  ASSERT_TRUE(b.MapExtent(0, b1, 90).ok());
+  ASSERT_TRUE(b.MapExtent(90, b0, 70).ok());
+
+  // Write a pseudo-random pattern through both spaces, zeroing some pages
+  // again afterwards.
+  uint64_t x = 0x9E3779B97F4A7C15ull;
+  auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  for (int i = 0; i < 400; ++i) {
+    GuestAddressSpace& space = next() % 2 == 0 ? a : b;
+    const GuestMapping& m = space.mappings()[next() % space.mappings().size()];
+    const Gfn gfn = m.gfn + next() % m.frames;
+    ASSERT_TRUE(space.Write(ram, gfn, next() % 5 == 0 ? 0 : next()).ok());
+  }
+
+  for (const GuestAddressSpace* space : {&a, &b}) {
+    std::vector<std::pair<Gfn, uint64_t>> oracle;
+    for (const GuestMapping& m : space->mappings()) {
+      for (Gfn g = m.gfn; g < m.gfn_end(); ++g) {
+        const uint64_t word = space->Read(ram, g).value();
+        if (word != 0) {
+          oracle.emplace_back(g, word);
+        }
+      }
+    }
+    ASSERT_FALSE(oracle.empty());
+    EXPECT_EQ(space->DumpNonZero(ram), oracle);
+  }
+}
+
 TEST(DevicesTest, VirtioNetRoundTrip) {
   VirtioNetState s;
   s.mac = {1, 2, 3, 4, 5, 6};

@@ -109,6 +109,132 @@ TEST(PhysicalMemoryTest, FreeErasesContent) {
   EXPECT_EQ(ram.ReadWord(m2).value(), 0u);
 }
 
+// Every way of releasing an extent destroys exactly that extent's words,
+// page payloads and backing; the neighbours on both sides keep theirs.
+class ReleaseTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ReleaseTest, DestroysOnlyTheReleasedExtentsContents) {
+  PhysicalMemory ram(1 << 20);
+  // [left | victim | right], adjacent, each with a word, a page and (for
+  // the backed ones) a contiguous backing.
+  const Mfn left = ram.Alloc(4, 1, kGuest2).value();
+  const Mfn victim = ram.Alloc(4, 1, kGuest1).value();
+  const Mfn right = ram.Alloc(4, 1, kPram).value();
+  ASSERT_EQ(victim, left + 4);
+  ASSERT_EQ(right, victim + 4);
+  const Mfn backed = ram.Alloc(2, 1, kGuest1).value();  // Victim too (same owner).
+  for (Mfn base : {left, victim, right}) {
+    ASSERT_TRUE(ram.WriteWord(base + 3, 0x1000 + base).ok());
+    ASSERT_TRUE(ram.WritePage(base + 1, {1, 2, 3}).ok());
+  }
+  ASSERT_TRUE(ram.BackExtent(backed, 2).ok());
+  ASSERT_TRUE(ram.WritePage(backed, {9}).ok());
+  ASSERT_TRUE(ram.WriteWord(backed + 1, 0xBB).ok());
+
+  uint64_t released = 0;
+  switch (GetParam()) {
+    case 0:
+      ASSERT_TRUE(ram.Free(victim, 4).ok());
+      ASSERT_TRUE(ram.Free(backed, 2).ok());
+      released = 6;
+      break;
+    case 1:
+      released = ram.FreeAllOwnedBy(kGuest1);
+      break;
+    case 2:
+      released = ram.ScrubExcept({FrameExtent{left, 4, kGuest2}, FrameExtent{right, 4, kPram}});
+      break;
+  }
+  EXPECT_EQ(released, 6u);
+  EXPECT_FALSE(ram.IsAllocated(victim));
+  EXPECT_FALSE(ram.IsAllocated(backed));
+  EXPECT_EQ(ram.allocated_frames(), 1u + 8u);
+
+  // Re-allocating the released frames shows nothing of the old contents.
+  const Mfn again = ram.Alloc(4, 1, kGuest2).value();
+  ASSERT_EQ(again, victim);
+  EXPECT_EQ(ram.ReadWord(victim + 3).value(), 0u);
+  EXPECT_TRUE(ram.ReadPage(victim + 1).value().empty());
+  const Mfn again_backed = ram.Alloc(2, 1, kGuest2).value();
+  ASSERT_EQ(again_backed, backed);
+  EXPECT_FALSE(ram.BackedExtent(backed, 2).ok());
+  EXPECT_TRUE(ram.ReadPage(backed).value().empty());
+  EXPECT_EQ(ram.ReadWord(backed + 1).value(), 0u);
+
+  // Neighbours are intact.
+  for (Mfn base : {left, right}) {
+    EXPECT_EQ(ram.ReadWord(base + 3).value(), 0x1000 + base);
+    EXPECT_EQ(ram.ReadPage(base + 1).value(), (std::vector<uint8_t>{1, 2, 3}));
+  }
+  EXPECT_EQ(ram.OwnerOf(left).value(), kGuest2);
+  EXPECT_EQ(ram.OwnerOf(right).value(), kPram);
+}
+
+INSTANTIATE_TEST_SUITE_P(FreeFreeAllScrub, ReleaseTest, ::testing::Values(0, 1, 2));
+
+TEST(PhysicalMemoryTest, OwnsRangeIsOneExtentOfOneOwner) {
+  PhysicalMemory ram(1 << 20);  // 256 frames.
+  const Mfn a = ram.Alloc(8, 1, kGuest1).value();
+  const Mfn b = ram.Alloc(8, 1, kGuest1).value();  // Same owner, adjacent.
+  ASSERT_EQ(b, a + 8);
+  const Mfn c = ram.Alloc(4, 1, kGuest2).value();
+
+  EXPECT_TRUE(ram.OwnsRange(a, 8, kGuest1));
+  EXPECT_TRUE(ram.OwnsRange(a + 2, 3, kGuest1));
+  EXPECT_TRUE(ram.OwnsRange(b + 7, 1, kGuest1));
+  // Partial overlap: runs past the extent, or straddles two extents even
+  // though both have this owner.
+  EXPECT_FALSE(ram.OwnsRange(a + 4, 8, kGuest1));
+  EXPECT_FALSE(ram.OwnsRange(b + 4, 5, kGuest1));
+  // Foreign owner, same kind and other kind.
+  EXPECT_FALSE(ram.OwnsRange(c, 4, kGuest1));
+  EXPECT_FALSE(ram.OwnsRange(a, 8, kGuest2));
+  EXPECT_FALSE(ram.OwnsRange(a, 8, kHv));
+  // Free frames, the reserved frame 0, a range starting free and ending
+  // allocated.
+  EXPECT_FALSE(ram.OwnsRange(c + 4, 1, kGuest2));
+  EXPECT_FALSE(ram.OwnsRange(0, 1, kHv));
+  EXPECT_FALSE(ram.OwnsRange(a - 1, 2, kGuest1));
+  // Out-of-range input: empty, beyond RAM, wrapping around.
+  EXPECT_FALSE(ram.OwnsRange(a, 0, kGuest1));
+  EXPECT_FALSE(ram.OwnsRange(ram.total_frames(), 1, kGuest1));
+  EXPECT_FALSE(ram.OwnsRange(a, ~0ull, kGuest1));
+  EXPECT_FALSE(ram.OwnsRange(~0ull, 2, kGuest1));
+  // Ownership follows Reassign and dies with the extent.
+  ASSERT_TRUE(ram.Reassign(c, 4, kGuest1).ok());
+  EXPECT_TRUE(ram.OwnsRange(c, 4, kGuest1));
+  EXPECT_EQ(ram.FreeAllOwnedBy(kGuest2), 0u);
+  EXPECT_EQ(ram.FreeAllOwnedBy(kGuest1), 20u);
+  EXPECT_FALSE(ram.OwnsRange(a, 1, kGuest1));
+}
+
+TEST(PhysicalMemoryTest, ForEachNonZeroWordWalksARangeInMfnOrder) {
+  PhysicalMemory ram(4 << 20);  // 1024 frames.
+  const Mfn a = ram.Alloc(200, 1, kGuest1).value();
+  const Mfn b = ram.Alloc(100, 1, kGuest2).value();
+  ASSERT_EQ(b, a + 200);
+  std::vector<std::pair<Mfn, uint64_t>> want;
+  for (Mfn m : {a + 1, a + 63, a + 64, a + 199, b, b + 99}) {
+    ASSERT_TRUE(ram.WriteWord(m, m * 3).ok());
+    want.emplace_back(m, m * 3);
+  }
+  ASSERT_TRUE(ram.WriteWord(a + 150, 5).ok());
+  ASSERT_TRUE(ram.WriteWord(a + 150, 0).ok());  // Zeroed words are skipped.
+
+  std::vector<std::pair<Mfn, uint64_t>> got;
+  ram.ForEachNonZeroWord(a, 300, [&](Mfn m, uint64_t w) { got.emplace_back(m, w); });
+  EXPECT_EQ(got, want);
+  // A sub-range straddling the extents, and one over free frames.
+  got.clear();
+  ram.ForEachNonZeroWord(a + 64, 137, [&](Mfn m, uint64_t w) { got.emplace_back(m, w); });
+  EXPECT_EQ(got, (std::vector<std::pair<Mfn, uint64_t>>{{a + 64, (a + 64) * 3},
+                                                        {a + 199, (a + 199) * 3},
+                                                        {b, b * 3}}));
+  got.clear();
+  ram.ForEachNonZeroWord(b + 100, 500, [&](Mfn m, uint64_t w) { got.emplace_back(m, w); });
+  EXPECT_TRUE(got.empty());
+}
+
 TEST(PhysicalMemoryTest, OwnerTracking) {
   PhysicalMemory ram(1 << 20);
   Mfn g = ram.Alloc(8, 1, kGuest1).value();

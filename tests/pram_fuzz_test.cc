@@ -1,11 +1,14 @@
 // Property/fuzz tests for PRAM: randomized guest layouts round-trip through
-// build -> finalize -> parse -> preserve -> scrub, seeded and parameterized.
+// build -> finalize -> parse -> preserve -> scrub, seeded and parameterized;
+// hostile-chain probes must fail closed instead of hanging.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/base/crc32.h"
@@ -106,6 +109,114 @@ TEST_P(PramFuzzTest, RandomLayoutsSurviveTheFullCycle) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PramFuzzTest,
                          ::testing::Values(1ull, 2ull, 3ull, 5ull, 8ull, 13ull, 21ull, 34ull,
                                            55ull, 89ull));
+
+// Hostile PRAM chains. The source side of a transplant may be compromised
+// and writes the structures the target parses at early boot, so each probe
+// rewrites a metadata page *and re-seals its CRC*, reaching the walk's
+// semantic checks. Every probe must fail closed with a named kDataLoss; a
+// regression hangs or exhausts memory, which the ctest TIMEOUT turns into a
+// failure.
+class PramHostileChainTest : public ::testing::Test {
+ protected:
+  // Two files of one node page each; the walk record locates every page:
+  // root, then per file its info page followed by its node pages.
+  void SetUp() override {
+    PramBuilder builder(ram_);
+    for (const char* name : {"vm-a", "vm-b"}) {
+      const Mfn base = ram_.Alloc(8, 1, FrameOwner{FrameOwnerKind::kGuest, 1}).value();
+      std::vector<PramPageEntry> entries;
+      BuildEntriesForRange(0, base, 8, false, entries);
+      ASSERT_TRUE(builder.AddFile(name, 8 * kPageSize, false, entries).ok());
+    }
+    root_ = builder.Finalize().value().root_mfn;
+    const PramImage image = ParsePram(ram_, root_).value();
+    ASSERT_EQ(image.metadata_mfns.size(), 5u);
+    ASSERT_EQ(image.metadata_mfns.front(), root_);
+    info_a_ = image.metadata_mfns[1];
+    node_a_ = image.metadata_mfns[2];
+    info_b_ = image.metadata_mfns[3];
+  }
+
+  // Applies `edit` to the page at `mfn` and re-seals its CRC.
+  void Reseal(Mfn mfn, const std::function<void(std::vector<uint8_t>&)>& edit) {
+    std::vector<uint8_t> page = ram_.ReadPage(mfn).value();
+    edit(page);
+    std::fill(page.begin() + 4, page.begin() + 8, 0);
+    const uint32_t crc = Crc32(page);
+    for (int i = 0; i < 4; ++i) {
+      page[4 + static_cast<size_t>(i)] = static_cast<uint8_t>(crc >> (8 * i));
+    }
+    ASSERT_TRUE(ram_.WritePage(mfn, std::move(page)).ok());
+  }
+  static void PutU64(std::vector<uint8_t>& page, size_t offset, uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      page[offset + static_cast<size_t>(i)] = static_cast<uint8_t>(value >> (8 * i));
+    }
+  }
+  // Offsets inside the pages: root/node `next` follows the 8-byte header and
+  // the node word count follows `next`; a file info page holds id, name
+  // (u32 length + bytes), size and the huge flag before its node pointer
+  // and entry count.
+  static constexpr size_t kNextOffset = 8;
+  static constexpr size_t kCountOffset = 16;
+  static constexpr size_t kInfoNodeOffset = 8 + 8 + 4 + 4 + 8 + 1;  // 4-byte names.
+  static constexpr size_t kInfoEntryCountOffset = kInfoNodeOffset + 8;
+
+  // Parses and expects a kDataLoss whose message contains every `needle`.
+  void ExpectRejected(std::initializer_list<std::string> needles) {
+    auto image = ParsePram(ram_, root_);
+    ASSERT_FALSE(image.ok());
+    EXPECT_EQ(image.error().code(), ErrorCode::kDataLoss) << image.error().ToString();
+    for (const std::string& needle : needles) {
+      EXPECT_NE(image.error().ToString().find(needle), std::string::npos)
+          << image.error().ToString() << " lacks '" << needle << "'";
+    }
+  }
+
+  PhysicalMemory ram_{64ull << 20};
+  Mfn root_ = 0;
+  Mfn info_a_ = 0;
+  Mfn node_a_ = 0;
+  Mfn info_b_ = 0;
+};
+
+TEST_F(PramHostileChainTest, SelfLinkedRootPage) {
+  Reseal(root_, [&](std::vector<uint8_t>& page) { PutU64(page, kNextOffset, root_); });
+  ExpectRejected({"root chain", std::to_string(root_)});
+}
+
+TEST_F(PramHostileChainTest, SelfLinkedNodePageWithWords) {
+  Reseal(node_a_, [&](std::vector<uint8_t>& page) { PutU64(page, kNextOffset, node_a_); });
+  ExpectRejected({"node chain", "'vm-a'", std::to_string(node_a_)});
+}
+
+TEST_F(PramHostileChainTest, SelfLinkedNodePageWithZeroWords) {
+  Reseal(node_a_, [&](std::vector<uint8_t>& page) {
+    PutU64(page, kNextOffset, node_a_);
+    std::fill(page.begin() + kCountOffset, page.begin() + kCountOffset + 4, 0);
+  });
+  ExpectRejected({"node chain", "'vm-a'", std::to_string(node_a_)});
+}
+
+TEST_F(PramHostileChainTest, NodePageSharedByTwoFiles) {
+  Reseal(info_b_, [&](std::vector<uint8_t>& page) { PutU64(page, kInfoNodeOffset, node_a_); });
+  ExpectRejected({"node chain", "'vm-b'", std::to_string(node_a_)});
+}
+
+TEST_F(PramHostileChainTest, NodeChainLongerThanDeclared) {
+  Reseal(info_a_, [&](std::vector<uint8_t>& page) { PutU64(page, kInfoEntryCountOffset, 3); });
+  ExpectRejected({"'vm-a'", "more than the 3 entries"});
+}
+
+TEST_F(PramHostileChainTest, PreservationListNeedsTheWalkRecord) {
+  const PramImage image = ParsePram(ram_, root_).value();
+  EXPECT_TRUE(PramPreservationList(ram_, root_, image).ok());
+  PramImage builder_side;
+  builder_side.files = image.files;
+  EXPECT_EQ(builder_side, image);  // Equality compares files only.
+  EXPECT_FALSE(PramPreservationList(ram_, root_, builder_side).ok());
+  EXPECT_FALSE(PramPreservationList(ram_, info_a_, image).ok());
+}
 
 // Differential fuzz of the CRC32 implementations against the bitwise
 // reference: the dispatched hot path (carry-less multiply on hardware that

@@ -194,9 +194,9 @@ TEST(PramParseTest, CorruptedNodePageIsDataLoss) {
   auto handle = builder.Finalize();
   ASSERT_TRUE(handle.ok());
 
-  // Clobber one metadata page (not the root: pick the first extent, which is
-  // a node page because builders lay out node chains first).
-  Mfn victim = handle->extents.front().base;
+  // Clobber one node page: the walk record lists the root, the file info
+  // page, then the file's node pages.
+  Mfn victim = ParsePram(ram, handle->root_mfn).value().metadata_mfns[2];
   auto bytes = ram.ReadPage(victim).value();
   ASSERT_FALSE(bytes.empty());
   bytes[bytes.size() / 2] ^= 0xFF;
